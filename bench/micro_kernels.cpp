@@ -166,6 +166,32 @@ void BM_SyrkInt8(benchmark::State& state) {
 }
 BENCHMARK(BM_SyrkInt8)->Args({128, 512})->Args({256, 512});
 
+/// The Build's INT8 distance GEMM on one thread: a 256 x 256 tile of
+/// G_r * G_c^T over 1536 SNPs, both operands strided by the patient count
+/// `ld` (2048 is the power-of-two case).  Items are INT8 ops (2 per
+/// multiply-add); the label names the INT8 microkernel dispatched.
+void BM_GemmInt8(benchmark::State& state) {
+  const std::size_t ts = 256;
+  const auto ns = static_cast<std::size_t>(state.range(0));
+  const auto ld = static_cast<std::size_t>(state.range(1));
+  Rng rng(8);
+  Matrix<std::int8_t> g(ld, ns);
+  for (std::size_t i = 0; i < g.size(); ++i) {
+    g.data()[i] = static_cast<std::int8_t>(rng.uniform_index(3));
+  }
+  Matrix<std::int32_t> c(ts, ts, 0);
+  for (auto _ : state) {
+    gemm_i8_i32(Trans::kNoTrans, Trans::kTrans, ts, ts, ns, 1, g.data(), ld,
+                &g(ts, 0), ld, 0, c.data(), ts);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(mpblas::kernels::int8_kernel_name());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(2 * ts * ts * ns));
+}
+BENCHMARK(BM_GemmInt8)->Args({1536, 1536})->Args({1536, 2048});
+
 void BM_PotrfFp32(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Matrix<float> spd(n, n, 0.0f);

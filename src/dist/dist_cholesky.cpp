@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <exception>
 #include <numeric>
 #include <optional>
 #include <string>
@@ -48,6 +49,34 @@ class HandleMap {
  private:
   Runtime& runtime_;
   std::unordered_map<std::uint64_t, DataHandle> handles_;
+};
+
+/// Scope of one factorization driver call.  Every exit clears the
+/// breakdown wake-up callback; an exceptional exit (a killed rank's
+/// RankKilled, a structured NumericalError, a task error) also cancels
+/// and drains the runtime before the exception leaves, so no task of the
+/// aborted graph still runs on the caller's matrix while the caller
+/// unwinds and destroys it.
+class FactorizationScope {
+ public:
+  explicit FactorizationScope(Runtime& runtime) : runtime_(runtime) {}
+  FactorizationScope(const FactorizationScope&) = delete;
+  FactorizationScope& operator=(const FactorizationScope&) = delete;
+  ~FactorizationScope() {
+    runtime_.set_error_callback(nullptr);
+    if (std::uncaught_exceptions() <= exceptions_on_entry_) return;
+    runtime_.cancel();
+    try {
+      runtime_.wait();
+    } catch (...) {
+      // The aborted graph's task errors are collateral of the exception
+      // already propagating, which is the one the caller sees.
+    }
+  }
+
+ private:
+  Runtime& runtime_;
+  const int exceptions_on_entry_ = std::uncaught_exceptions();
 };
 
 /// Wake-up tag of the breakdown-recovery protocol (payload-free; the
@@ -321,10 +350,7 @@ void dist_tiled_potrf(Runtime& runtime, Communicator& comm,
   // Any task failure wakes every rank's progress loop; the frames carry
   // no authority (the status allreduce below does), they only unpark
   // recv_any.  The callback is scoped to this factorization.
-  struct CallbackGuard {
-    Runtime& runtime;
-    ~CallbackGuard() { runtime.set_error_callback(nullptr); }
-  } guard{runtime};
+  const FactorizationScope scope(runtime);
   runtime.set_error_callback([&comm](const std::exception_ptr&) {
     for (int r = 0; r < comm.size(); ++r) {
       comm.send(r, breakdown_wakeup_tag(), {});
@@ -754,10 +780,7 @@ DistFtResult dist_tiled_potrf_ft(Runtime& runtime, Communicator& comm,
 
   DiscardHookGuard hook_guard(comm, &mat);
 
-  struct CallbackGuard {
-    Runtime& runtime;
-    ~CallbackGuard() { runtime.set_error_callback(nullptr); }
-  } guard{runtime};
+  const FactorizationScope scope(runtime);
   const auto arm_callback = [&runtime](Communicator* c) {
     runtime.set_error_callback([c](const std::exception_ptr&) {
       for (int r = 0; r < c->size(); ++r) {

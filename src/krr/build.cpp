@@ -117,12 +117,24 @@ void KernelTileGenerator::compute(std::size_t r0, std::size_t c0,
   const std::size_t ldr = in.genotypes_rows->patients();
   const std::size_t ldc = in.genotypes_cols->patients();
 
-  // INT8 tensor-core GEMM: G_r * G_c^T, exact INT32 accumulation.
+  // INT8 tensor-core GEMM: G_r * G_c^T, exact INT32 accumulation.  A
+  // diagonal tile of the symmetric train kernel is itself symmetric: its
+  // SYRK computes only the lower micro tiles and the mirror fills the
+  // upper triangle with the same (exact) integers.
   Matrix<std::int32_t> dot(mb, nb);
-  gemm_i8_i32(Trans::kNoTrans, Trans::kTrans, mb, nb, ns, 1,
-              &in.genotypes_rows->matrix()(r0, 0), ldr,
-              &in.genotypes_cols->matrix()(c0, 0), ldc, 0, dot.data(),
-              dot.ld());
+  if (in.genotypes_rows == in.genotypes_cols && r0 == c0) {
+    syrk_i8_i32(Uplo::kLower, Trans::kNoTrans, mb, ns, 1,
+                &in.genotypes_rows->matrix()(r0, 0), ldr, 0, dot.data(),
+                dot.ld());
+    for (std::size_t j = 1; j < nb; ++j) {
+      for (std::size_t i = 0; i < j; ++i) dot(i, j) = dot(j, i);
+    }
+  } else {
+    gemm_i8_i32(Trans::kNoTrans, Trans::kTrans, mb, nb, ns, 1,
+                &in.genotypes_rows->matrix()(r0, 0), ldr,
+                &in.genotypes_cols->matrix()(c0, 0), ldc, 0, dot.data(),
+                dot.ld());
+  }
 
   Matrix<float> k(mb, nb);
 

@@ -7,7 +7,11 @@
 // data) plus a rank-two correction from the folded norm vector `d` — the
 // paper's "no extra temporary matrices" trick: the norms are stored once
 // as a vector and each tile is generated on the fly, fused with the
-// exponentiation exp(-gamma * d_ij) before it is released.  Real-valued
+// exponentiation exp(-gamma * d_ij) before it is released.  The GEMM runs
+// on the packed engine's exact INT8 path (VNNI where the host has it); a
+// diagonal tile of the symmetric train kernel is itself symmetric, so it
+// takes the SYRK, which computes only the lower micro tiles, and mirrors
+// the exact integers into the upper triangle.  Real-valued
 // confounder columns contribute their own squared distances through an
 // FP32 GEMM accumulated into the same tile prior to exponentiation.
 //

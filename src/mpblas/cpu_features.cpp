@@ -94,6 +94,8 @@ CpuFeatures probe() {
   f.avx2 = __builtin_cpu_supports("avx2") != 0;
   f.fma = __builtin_cpu_supports("fma") != 0;
   f.avx512f = __builtin_cpu_supports("avx512f") != 0;
+  f.avx512bw = __builtin_cpu_supports("avx512bw") != 0;
+  f.avx512_vnni = __builtin_cpu_supports("avx512vnni") != 0;
 #endif
 #if defined(__aarch64__) || defined(__ARM_NEON)
   f.neon = true;
@@ -130,6 +132,8 @@ std::string to_string(const CpuFeatures& features) {
   flag(features.avx2, "avx2");
   flag(features.fma, "fma");
   flag(features.avx512f, "avx512f");
+  flag(features.avx512bw, "avx512bw");
+  flag(features.avx512_vnni, "avx512_vnni");
   flag(features.neon, "neon");
   if (!any) os << "baseline";
   os << " l1d=" << features.l1d_bytes << " l2=" << features.l2_bytes

@@ -21,6 +21,9 @@ struct CpuFeatures {
   bool avx2 = false;     ///< AVX2 (x86-64)
   bool fma = false;      ///< FMA3 (x86-64; the AVX2 kernel requires both)
   bool avx512f = false;  ///< AVX-512 Foundation (x86-64)
+  bool avx512bw = false;     ///< AVX-512 byte/word instructions (x86-64)
+  bool avx512_vnni = false;  ///< AVX-512 VNNI `vpdpbusd` (x86-64; the INT8
+                             ///< VNNI kernel requires it and avx512bw)
   bool neon = false;     ///< NEON/ASIMD (aarch64: always true)
 
   // Per-core data cache sizes in bytes.  When the OS exposes nothing the
@@ -43,9 +46,9 @@ struct CpuFeatures {
 /// documented fallbacks.
 const CpuFeatures& cpu_features();
 
-/// "avx2+fma avx512f l1d=32768 l2=1048576 l3=33554432 cores=8" — the
-/// form logged at dispatch time and embedded in profiler traces and the
-/// autotuner's per-host cache key.
+/// "avx2+fma+avx512f+avx512bw+avx512_vnni l1d=32768 l2=1048576
+/// l3=33554432 cores=8" — the form logged at dispatch time and embedded in
+/// profiler traces and the autotuner's per-host cache key.
 std::string to_string(const CpuFeatures& features);
 
 }  // namespace kgwas::mpblas

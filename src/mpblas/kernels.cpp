@@ -28,6 +28,7 @@ namespace kgwas::mpblas::kernels {
 
 namespace {
 
+using detail::I8MicroKernel;
 using detail::MicroKernel;
 
 /// Upper bounds across every compiled variant's micro-tile shape, so the
@@ -550,29 +551,38 @@ void macro_syrk(const MicroKernel& uk, Uplo uplo, std::size_t gi0,
 
 // ---------------------------------------------------------------- driver
 
-void scale_c_full(float beta, std::size_t m, std::size_t n, float* c,
+/// beta * v: the FP32 product, or the INT32 product modulo 2^32.
+float scaled(float v, float beta) { return v * beta; }
+std::int32_t scaled(std::int32_t v, std::int32_t beta) {
+  return static_cast<std::int32_t>(static_cast<std::uint32_t>(v) *
+                                   static_cast<std::uint32_t>(beta));
+}
+
+template <typename T>
+void scale_c_full(T beta, std::size_t m, std::size_t n, T* c,
                   std::size_t ldc) {
-  if (beta == 1.0f) return;
+  if (beta == T{1}) return;
   for (std::size_t j = 0; j < n; ++j) {
-    float* cj = c + j * ldc;
-    if (beta == 0.0f) {
-      std::fill(cj, cj + m, 0.0f);
+    T* cj = c + j * ldc;
+    if (beta == T{0}) {
+      std::fill(cj, cj + m, T{0});
     } else {
-      for (std::size_t i = 0; i < m; ++i) cj[i] *= beta;
+      for (std::size_t i = 0; i < m; ++i) cj[i] = scaled(cj[i], beta);
     }
   }
 }
 
-void scale_c_triangle(Uplo uplo, float beta, std::size_t n, float* c,
+template <typename T>
+void scale_c_triangle(Uplo uplo, T beta, std::size_t n, T* c,
                       std::size_t ldc) {
-  if (beta == 1.0f) return;
+  if (beta == T{1}) return;
   const bool lower = uplo == Uplo::kLower;
   for (std::size_t j = 0; j < n; ++j) {
     const std::size_t i_begin = lower ? j : 0;
     const std::size_t i_end = lower ? n : j + 1;
-    float* cj = c + j * ldc;
+    T* cj = c + j * ldc;
     for (std::size_t i = i_begin; i < i_end; ++i) {
-      cj[i] = beta == 0.0f ? 0.0f : cj[i] * beta;
+      cj[i] = beta == T{0} ? T{0} : scaled(cj[i], beta);
     }
   }
 }
@@ -606,21 +616,40 @@ void gemm_driver(const MicroKernel& uk, std::size_t m, std::size_t n,
 // When both operands are stored as INT8 (and request no tensor-core
 // operand rounding — it would be a no-op on integers anyway, but the
 // semantics say values pass through quantize_inplace), the engine skips
-// the float pipeline entirely: operands pack into i16 micro-panels, the
-// microkernel accumulates exact i32 dot products, and only the epilogue
-// converts to FP32 (scaled by alpha).  Exact while every |dot product|
-// stays below 2^31 — worst case k * 127 * 127 < 2^31, i.e. any k below
-// ~133k — which beats FP32 accumulation (exact only to 2^24) on the
-// integer genotype data this path exists for.  The tile is a fixed
-// 8 x 6 regardless of the dispatched float variant, so INT8 results are
-// identical across KGWAS_GEMM_ARCH settings.
+// the float pipeline entirely: operands pack into integer micro-panels
+// and the microkernel accumulates exact INT32 dot products.  Two
+// microkernels implement it (detail::I8MicroKernel):
+//
+//  * "vnni" (kernels_vnni.cpp), 32 x 8 `vpdpbusd` over 4-deep byte
+//    panels, the A panel biased by +128 and corrected per column — used
+//    when the AVX-512 variant is selected and the host has avx512bw and
+//    avx512_vnni;
+//  * "i16", the portable 8 x 6 kernel over i16-widened panels, otherwise.
+//
+// Both are exact modulo 2^32, so every entry point below gives the same
+// integers under either kernel and any blocking, while each |dot
+// product| stays below 2^31 (worst case k * 127 * 127 < 2^31, any k
+// below ~133k).  gemm_view's FP32-output form converts each kc block's
+// INT32 partial to FP32 (scaled by alpha) as it accumulates into C, so
+// its rounding follows the resolved blocking; gemm_i8/syrk_i8 keep C in
+// INT32 and are exact.
 
 constexpr std::size_t kI8Mr = 8;
 constexpr std::size_t kI8Nr = 6;
+/// Largest INT8 micro tile (the VNNI kernel's 32 x 8).
+constexpr std::size_t kMaxI8Tile = 32 * 8;
+
+std::size_t i16_a_panel_bytes(std::size_t kb) {
+  return kI8Mr * kb * sizeof(std::int16_t);
+}
+
+std::size_t i16_b_panel_bytes(std::size_t kb) {
+  return kI8Nr * kb * sizeof(std::int16_t);
+}
 
 void pack_a_block_i8(const OperandView& a, std::size_t i0, std::size_t p0,
-                     std::size_t mb, std::size_t kb,
-                     std::int16_t* KGWAS_RESTRICT dst) {
+                     std::size_t mb, std::size_t kb, void* out_panels) {
+  auto* KGWAS_RESTRICT dst = static_cast<std::int16_t*>(out_panels);
   const auto* src = static_cast<const std::int8_t*>(a.data);
   const std::size_t ld = a.ld;
   const std::size_t panels = (mb + kI8Mr - 1) / kI8Mr;
@@ -645,8 +674,8 @@ void pack_a_block_i8(const OperandView& a, std::size_t i0, std::size_t p0,
 }
 
 void pack_b_block_i8(const OperandView& b, std::size_t p0, std::size_t j0,
-                     std::size_t kb, std::size_t nb,
-                     std::int16_t* KGWAS_RESTRICT dst) {
+                     std::size_t kb, std::size_t nb, void* out_panels) {
+  auto* KGWAS_RESTRICT dst = static_cast<std::int16_t*>(out_panels);
   const auto* src = static_cast<const std::int8_t*>(b.data);
   const std::size_t ld = b.ld;
   const std::size_t panels = (nb + kI8Nr - 1) / kI8Nr;
@@ -672,57 +701,53 @@ void pack_b_block_i8(const OperandView& b, std::size_t p0, std::size_t j0,
 
 /// 8 x 6 i16 x i16 -> i32 register tile.  The i16 widening happens at
 /// pack time, so the inner loop is pure multiply-accumulate the compiler
-/// can vectorize (pmaddwd-class codegen under x86).
-void micro_kernel_i8(std::size_t kb, const std::int16_t* KGWAS_RESTRICT a,
-                     const std::int16_t* KGWAS_RESTRICT b,
+/// can vectorize (pmaddwd-class codegen under x86).  |a * b| <= 2^14 and
+/// the sum runs in unsigned arithmetic, so it wraps modulo 2^32 like the
+/// VNNI kernel instead of overflowing.
+void micro_kernel_i8(std::size_t kb, const void* a_panel, const void* b_panel,
                      std::int32_t* KGWAS_RESTRICT acc) {
-  std::int32_t local[kI8Mr * kI8Nr] = {};
+  const auto* KGWAS_RESTRICT a = static_cast<const std::int16_t*>(a_panel);
+  const auto* KGWAS_RESTRICT b = static_cast<const std::int16_t*>(b_panel);
+  std::uint32_t local[kI8Mr * kI8Nr] = {};
   for (std::size_t l = 0; l < kb; ++l) {
     const std::int16_t* KGWAS_RESTRICT ap = a + l * kI8Mr;
     const std::int16_t* KGWAS_RESTRICT bp = b + l * kI8Nr;
     for (std::size_t j = 0; j < kI8Nr; ++j) {
       const std::int32_t blj = bp[j];
-      std::int32_t* KGWAS_RESTRICT accj = local + j * kI8Mr;
+      std::uint32_t* KGWAS_RESTRICT accj = local + j * kI8Mr;
       for (std::size_t i = 0; i < kI8Mr; ++i) {
-        accj[i] += static_cast<std::int32_t>(ap[i]) * blj;
+        accj[i] += static_cast<std::uint32_t>(
+            static_cast<std::int32_t>(ap[i]) * blj);
       }
     }
   }
-  for (std::size_t x = 0; x < kI8Mr * kI8Nr; ++x) acc[x] = local[x];
-}
-
-void macro_gemm_i8(std::size_t mb, std::size_t nb, std::size_t kb, float alpha,
-                   const std::int16_t* packed_a, const std::int16_t* packed_b,
-                   float* c, std::size_t ldc) {
-  const std::size_t m_panels = (mb + kI8Mr - 1) / kI8Mr;
-  const std::size_t n_panels = (nb + kI8Nr - 1) / kI8Nr;
-  for (std::size_t q = 0; q < n_panels; ++q) {
-    const std::size_t j0 = q * kI8Nr;
-    const std::size_t cols = std::min(kI8Nr, nb - j0);
-    const std::int16_t* bp = packed_b + q * kI8Nr * kb;
-    for (std::size_t p = 0; p < m_panels; ++p) {
-      const std::size_t i0 = p * kI8Mr;
-      const std::size_t rows = std::min(kI8Mr, mb - i0);
-      alignas(kDefaultAlignment) std::int32_t acc[kI8Mr * kI8Nr];
-      micro_kernel_i8(kb, packed_a + p * kI8Mr * kb, bp, acc);
-      for (std::size_t j = 0; j < cols; ++j) {
-        float* KGWAS_RESTRICT cj = c + i0 + (j0 + j) * ldc;
-        const std::int32_t* KGWAS_RESTRICT accj = acc + j * kI8Mr;
-        for (std::size_t i = 0; i < rows; ++i) {
-          cj[i] += alpha * static_cast<float>(accj[i]);
-        }
-      }
-    }
+  for (std::size_t x = 0; x < kI8Mr * kI8Nr; ++x) {
+    acc[x] = static_cast<std::int32_t>(local[x]);
   }
 }
 
-/// Byte-pool-backed per-thread buffers for the i16 panels (same reuse
-/// contract as ThreadPackBuffer).
+/// The INT8 microkernel the engine dispatches to: VNNI when the AVX-512
+/// variant is selected (KGWAS_GEMM_ARCH / set_gemm_arch, like the float
+/// kernels) and the host has the byte/word and VNNI extensions.
+const I8MicroKernel& selected_i8_kernel() {
+  const CpuFeatures& f = cpu_features();
+  if (selected_arch() == Arch::kAvx512 && f.avx512bw && f.avx512_vnni) {
+    if (const I8MicroKernel* vnni = detail::vnni_i8_microkernel()) {
+      return *vnni;
+    }
+  }
+  return *detail::i16_i8_microkernel();
+}
+
+/// Byte-pool-backed per-thread buffers for the INT8 panels (same reuse
+/// contract as ThreadPackBuffer).  Grow-only, so a thread's buffers stop
+/// changing once it has seen its largest GEMM, whatever mix of shapes
+/// and output forms follows.
 struct ThreadPackBytes {
   AlignedVector<std::byte> buffer;
 
   void* ensure(std::size_t bytes) {
-    if (buffer.size() != bytes) {
+    if (buffer.size() < bytes) {
       if (!buffer.empty()) TilePool::global().release(std::move(buffer));
       buffer = TilePool::global().acquire(bytes);
     }
@@ -745,28 +770,103 @@ bool int8_fast_path(const OperandView& a, const OperandView& b) {
          passthrough(a.round_to) && passthrough(b.round_to);
 }
 
+/// The INT32-output forms' blocking: the float blocking at the same byte
+/// footprint per panel row (an INT8 element is a quarter of an FP32 one).
+/// Their results do not depend on it.
+Blocking int32_output_blocking() {
+  Blocking blk = gemm_blocking();
+  blk.kc *= 4;
+  return blk;
+}
+
 /// The int8-accumulate jc -> pc -> ic nest (beta already applied).
-void gemm_view_i8(std::size_t m, std::size_t n, std::size_t k, float alpha,
-                  const OperandView& a, const OperandView& b, float* c,
-                  std::size_t ldc) {
-  const Blocking blk = gemm_blocking();
-  auto* a_buffer = static_cast<std::int16_t*>(t_pack_a_i8.ensure(
-      round_up(blk.mc, kI8Mr) * blk.kc * sizeof(std::int16_t)));
-  auto* b_buffer = static_cast<std::int16_t*>(t_pack_b_i8.ensure(
-      round_up(blk.nc, kI8Nr) * blk.kc * sizeof(std::int16_t)));
+/// `visible(i0, j0, rows, cols)` says whether a block of C, in C's
+/// coordinates, holds any referenced element — blocks and micro tiles
+/// that do not are skipped (SYRK's other triangle).  `store(i0, j0, rows,
+/// cols, acc)` accumulates one micro tile's exact INT32 block product
+/// (column-major, ld = the kernel's mr) into C.
+template <typename Visible, typename Store>
+void gemm_i8_driver(std::size_t m, std::size_t n, std::size_t k,
+                    const OperandView& a, const OperandView& b,
+                    const Blocking& blk, const Visible& visible,
+                    const Store& store) {
+  const I8MicroKernel& uk = selected_i8_kernel();
+  const std::size_t mr = uk.mr;
+  const std::size_t nr = uk.nr;
+  KGWAS_CHECK_ARG(mr * nr <= kMaxI8Tile,
+                  "int8 dispatch resolved an oversized micro tile");
+  // Sized to this call's largest blocks, not the blocking's footprint:
+  // the INT32-output forms' deep kc would otherwise hold megabytes per
+  // thread that a tile-sized GEMM never touches.
+  const std::size_t kc_max = std::min(blk.kc, k);
+  auto* a_buffer = static_cast<std::byte*>(t_pack_a_i8.ensure(
+      round_up(std::min(blk.mc, m), mr) / mr * uk.a_panel_bytes(kc_max)));
+  auto* b_buffer = static_cast<std::byte*>(t_pack_b_i8.ensure(
+      round_up(std::min(blk.nc, n), nr) / nr * uk.b_panel_bytes(kc_max)));
   for (std::size_t jc = 0; jc < n; jc += blk.nc) {
     const std::size_t nb = std::min(blk.nc, n - jc);
     for (std::size_t pc = 0; pc < k; pc += blk.kc) {
       const std::size_t kb = std::min(blk.kc, k - pc);
-      pack_b_block_i8(b, pc, jc, kb, nb, b_buffer);
+      const std::size_t a_panel = uk.a_panel_bytes(kb);
+      const std::size_t b_panel = uk.b_panel_bytes(kb);
+      uk.pack_b(b, pc, jc, kb, nb, b_buffer);
       for (std::size_t ic = 0; ic < m; ic += blk.mc) {
         const std::size_t mb = std::min(blk.mc, m - ic);
-        pack_a_block_i8(a, ic, pc, mb, kb, a_buffer);
-        macro_gemm_i8(mb, nb, kb, alpha, a_buffer, b_buffer,
-                      c + ic + jc * ldc, ldc);
+        if (!visible(ic, jc, mb, nb)) continue;
+        uk.pack_a(a, ic, pc, mb, kb, a_buffer);
+        for (std::size_t j0 = 0; j0 < nb; j0 += nr) {
+          const std::size_t cols = std::min(nr, nb - j0);
+          const std::byte* bp = b_buffer + j0 / nr * b_panel;
+          for (std::size_t i0 = 0; i0 < mb; i0 += mr) {
+            const std::size_t rows = std::min(mr, mb - i0);
+            if (!visible(ic + i0, jc + j0, rows, cols)) continue;
+            alignas(kDefaultAlignment) std::int32_t acc[kMaxI8Tile];
+            uk.gemm(kb, a_buffer + i0 / mr * a_panel, bp, acc);
+            store(ic + i0, jc + j0, rows, cols, mr, acc);
+          }
+        }
       }
     }
   }
+}
+
+/// Every block of a GEMM's C is referenced.
+bool all_visible(std::size_t, std::size_t, std::size_t, std::size_t) {
+  return true;
+}
+
+/// Whether block [i0, i0 + rows) x [j0, j0 + cols) of C meets the `uplo`
+/// triangle.
+bool meets_triangle(bool lower, std::size_t i0, std::size_t j0,
+                    std::size_t rows, std::size_t cols) {
+  return lower ? i0 + rows - 1 >= j0 : i0 <= j0 + cols - 1;
+}
+
+/// C(i, j) <- C(i, j) + alpha * acc(i, j) on INT32 C, wrapping modulo
+/// 2^32 (exact whenever the final result fits INT32).
+std::int32_t add_scaled(std::int32_t c, std::int32_t alpha,
+                        std::int32_t acc) {
+  return static_cast<std::int32_t>(static_cast<std::uint32_t>(c) +
+                                   static_cast<std::uint32_t>(alpha) *
+                                       static_cast<std::uint32_t>(acc));
+}
+
+/// FP32-output form behind gemm_view (beta already applied).
+void gemm_view_i8(std::size_t m, std::size_t n, std::size_t k, float alpha,
+                  const OperandView& a, const OperandView& b, float* c,
+                  std::size_t ldc) {
+  gemm_i8_driver(m, n, k, a, b, gemm_blocking(), all_visible,
+                 [&](std::size_t i0, std::size_t j0, std::size_t rows,
+                     std::size_t cols, std::size_t ld_acc,
+                     const std::int32_t* acc) {
+                   for (std::size_t j = 0; j < cols; ++j) {
+                     float* KGWAS_RESTRICT cj = c + i0 + (j0 + j) * ldc;
+                     const std::int32_t* KGWAS_RESTRICT accj = acc + j * ld_acc;
+                     for (std::size_t i = 0; i < rows; ++i) {
+                       cj[i] += alpha * static_cast<float>(accj[i]);
+                     }
+                   }
+                 });
 }
 
 }  // namespace
@@ -778,6 +878,14 @@ namespace detail {
 const MicroKernel* generic_microkernel() {
   static const MicroKernel kernel{Arch::kGeneric, "generic", kMR, kNR,
                                   micro_kernel};
+  return &kernel;
+}
+
+const I8MicroKernel* i16_i8_microkernel() {
+  static const I8MicroKernel kernel{"i16",           kI8Mr,           kI8Nr,
+                                    i16_a_panel_bytes, i16_b_panel_bytes,
+                                    pack_a_block_i8, pack_b_block_i8,
+                                    micro_kernel_i8};
   return &kernel;
 }
 
@@ -964,6 +1072,69 @@ void syrk_view(Uplo uplo, std::size_t n, std::size_t k, float alpha,
     }
   }
 }
+
+void gemm_i8(std::size_t m, std::size_t n, std::size_t k, std::int32_t alpha,
+             const OperandView& a, const OperandView& b, std::int32_t beta,
+             std::int32_t* c, std::size_t ldc) {
+  KGWAS_CHECK_ARG(
+      a.storage == Precision::kInt8 && b.storage == Precision::kInt8,
+      "gemm_i8 takes INT8-storage operands");
+  if (m == 0 || n == 0) return;
+  scale_c_full(beta, m, n, c, ldc);
+  if (k == 0 || alpha == 0) return;
+  gemm_i8_driver(m, n, k, a, b, int32_output_blocking(), all_visible,
+                 [&](std::size_t i0, std::size_t j0, std::size_t rows,
+                     std::size_t cols, std::size_t ld_acc,
+                     const std::int32_t* acc) {
+                   for (std::size_t j = 0; j < cols; ++j) {
+                     std::int32_t* KGWAS_RESTRICT cj = c + i0 + (j0 + j) * ldc;
+                     const std::int32_t* KGWAS_RESTRICT accj =
+                         acc + j * ld_acc;
+                     for (std::size_t i = 0; i < rows; ++i) {
+                       cj[i] = add_scaled(cj[i], alpha, accj[i]);
+                     }
+                   }
+                 });
+}
+
+void syrk_i8(Uplo uplo, std::size_t n, std::size_t k, std::int32_t alpha,
+             const OperandView& a, std::int32_t beta, std::int32_t* c,
+             std::size_t ldc) {
+  KGWAS_CHECK_ARG(a.storage == Precision::kInt8,
+                  "syrk_i8 takes an INT8-storage operand");
+  if (n == 0) return;
+  scale_c_triangle(uplo, beta, n, c, ldc);
+  if (k == 0 || alpha == 0) return;
+  // The right operand is op(A)^T: the same storage with flipped trans.
+  OperandView bt = a;
+  bt.trans = a.trans == Trans::kNoTrans ? Trans::kTrans : Trans::kNoTrans;
+  const bool lower = uplo == Uplo::kLower;
+  gemm_i8_driver(
+      n, n, k, a, bt, int32_output_blocking(),
+      [lower](std::size_t i0, std::size_t j0, std::size_t rows,
+              std::size_t cols) {
+        return meets_triangle(lower, i0, j0, rows, cols);
+      },
+      [&](std::size_t i0, std::size_t j0, std::size_t rows, std::size_t cols,
+          std::size_t ld_acc, const std::int32_t* acc) {
+        for (std::size_t j = 0; j < cols; ++j) {
+          const std::size_t gj = j0 + j;
+          std::int32_t* cj = c + i0 + gj * ldc;
+          const std::int32_t* accj = acc + j * ld_acc;
+          // Rows of this column inside the triangle: [gj, ...) for lower,
+          // [..., gj] for upper, clipped to the tile.
+          const std::size_t i_begin =
+              lower ? std::min(rows, gj > i0 ? gj - i0 : 0) : 0;
+          const std::size_t i_end =
+              lower ? rows : std::min(rows, gj >= i0 ? gj - i0 + 1 : 0);
+          for (std::size_t i = i_begin; i < i_end; ++i) {
+            cj[i] = add_scaled(cj[i], alpha, accj[i]);
+          }
+        }
+      });
+}
+
+const char* int8_kernel_name() { return selected_i8_kernel().name; }
 
 void gemm_probe(std::size_t m, std::size_t n, std::size_t k, const float* a,
                 const float* b, float* c, const Blocking& blocking) {

@@ -38,12 +38,26 @@
 // other under any fixed configuration; different variants may differ
 // from each other within normal FP32 contraction tolerance.  The engine
 // accumulates in FP32 and is float-only; FP64 callers keep the reference
-// loops.  INT8-storage GEMMs take an integer-accumulate path (i16
-// operand panels, i32 accumulators, FP32 scaling at the epilogue) that
-// is exact while |op(A)·op(B)| stays within i32 range.
+// loops.
+//
+// INT8-storage GEMMs take an integer-accumulate path with INT32
+// accumulators.  gemm_i8/syrk_i8 keep C in INT32 (mixed.hpp's
+// gemm_i8_i32/syrk_i8_i32 forward to them); gemm_view scales each kc
+// block's INT32 partial into its FP32 C.  Two microkernels serve it:
+// under the AVX-512 variant, on a host with avx512bw and avx512_vnni, a
+// 32 x 8 `vpdpbusd` kernel (kernels_vnni.cpp) over 4-deep byte panels;
+// everywhere else the portable 8 x 6 kernel over i16 panels.
+// `vpdpbusd` multiplies unsigned by signed bytes, so the A panel is
+// packed biased by +128 and each column is corrected by 128 * sum_l b_lj
+// — exact modulo 2^32, hence exact whenever |op(A)·op(B)| stays within
+// INT32 (k * 127^2 < 2^31), even if the biased sum wraps.  Both kernels
+// give identical integers, so INT8 results do not depend on the variant
+// or (for the INT32 forms) the blocking; KGWAS_GEMM_KERNEL=reference
+// keeps the scalar loops of mixed.cpp as the oracle.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -66,7 +80,8 @@ GemmBackend gemm_backend();
 /// Test/bench override; nullopt re-reads the environment on next query.
 void set_gemm_backend(std::optional<GemmBackend> backend);
 
-/// True when float GEMM-class work should go through the packed engine.
+/// True when GEMM-class work (float and INT8) should go through the
+/// packed engine.
 inline bool use_packed() { return gemm_backend() == GemmBackend::kPacked; }
 
 /// Register micro-tile shape of the *generic* (portable GNU-vector)
@@ -164,6 +179,12 @@ inline OperandView fp32_view(const float* data, std::size_t ld, Trans trans,
   return {data, ld, trans, Precision::kFp32, round_to};
 }
 
+/// An INT8 operand (exact integer-accumulate path; no operand rounding).
+inline OperandView int8_view(const std::int8_t* data, std::size_t ld,
+                             Trans trans) {
+  return {data, ld, trans, Precision::kInt8, Precision::kFp32};
+}
+
 /// C <- alpha * op(A) * op(B) + beta * C with op(A) m x k, op(B) k x n,
 /// C FP32 m x n.  All shapes, strides and trans combinations supported;
 /// operands decode from their storage precision during packing.
@@ -187,6 +208,30 @@ void gemm_probe(std::size_t m, std::size_t n, std::size_t k, const float* a,
 /// their stores, so out-of-triangle elements of C are never referenced.
 void syrk_view(Uplo uplo, std::size_t n, std::size_t k, float alpha,
                const OperandView& a, float beta, float* c, std::size_t ldc);
+
+/// Exact INT8 GEMM with INT32 output: C <- alpha * op(A) * op(B) +
+/// beta * C, both views INT8 storage, C INT32 m x n.  Runs the
+/// integer-accumulate path (the VNNI or the i16 microkernel, see
+/// int8_kernel_name()); arithmetic wraps modulo 2^32, so C equals the
+/// reference loops' result whenever that fits INT32 (every |dot product|
+/// below 2^31: k * 127^2 < 2^31), under either microkernel and any
+/// blocking.
+void gemm_i8(std::size_t m, std::size_t n, std::size_t k, std::int32_t alpha,
+             const OperandView& a, const OperandView& b, std::int32_t beta,
+             std::int32_t* c, std::size_t ldc);
+
+/// Exact INT8 SYRK with INT32 output on the `uplo` triangle only:
+/// C <- alpha * op(A) * op(A)^T + beta * C, op(A) n x k (trans inside the
+/// view, as for syrk_view).  Micro tiles outside the triangle are never
+/// computed; elements outside it are never referenced.
+void syrk_i8(Uplo uplo, std::size_t n, std::size_t k, std::int32_t alpha,
+             const OperandView& a, std::int32_t beta, std::int32_t* c,
+             std::size_t ldc);
+
+/// The INT8 microkernel the integer-accumulate path runs under the
+/// selected variant: "vnni" (AVX-512 variant on a host with avx512bw and
+/// avx512_vnni) or "i16" (every other case).
+const char* int8_kernel_name();
 
 class PackedB;
 

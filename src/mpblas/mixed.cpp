@@ -40,6 +40,13 @@ std::vector<float> rounded_operand(Precision precision, Trans trans,
 void syrk_i8_i32(Uplo uplo, Trans trans, std::size_t n, std::size_t k,
                  std::int32_t alpha, const std::int8_t* a, std::size_t lda,
                  std::int32_t beta, std::int32_t* c, std::size_t ldc) {
+  if (mpblas::kernels::use_packed()) {
+    mpblas::kernels::syrk_i8(uplo, n, k, alpha,
+                             mpblas::kernels::int8_view(a, lda, trans), beta,
+                             c, ldc);
+    return;
+  }
+  // Reference backend: the scalar loops, kept as the engine's oracle.
   const bool lower = uplo == Uplo::kLower;
   for (std::size_t j = 0; j < n; ++j) {
     const std::size_t i_begin = lower ? j : 0;
@@ -93,6 +100,14 @@ void gemm_i8_i32(Trans trans_a, Trans trans_b, std::size_t m, std::size_t n,
                  std::size_t k, std::int32_t alpha, const std::int8_t* a,
                  std::size_t lda, const std::int8_t* b, std::size_t ldb,
                  std::int32_t beta, std::int32_t* c, std::size_t ldc) {
+  if (mpblas::kernels::use_packed()) {
+    mpblas::kernels::gemm_i8(m, n, k, alpha,
+                             mpblas::kernels::int8_view(a, lda, trans_a),
+                             mpblas::kernels::int8_view(b, ldb, trans_b), beta,
+                             c, ldc);
+    return;
+  }
+  // Reference backend: the scalar loops, kept as the engine's oracle.
   for (std::size_t j = 0; j < n; ++j) {
     std::int32_t* cj = c + j * ldc;
     for (std::size_t i = 0; i < m; ++i) {

@@ -6,6 +6,13 @@
 //    (values in {0,1,2}) every product and partial sum is exactly
 //    representable, so the Euclidean-distance SYRK trick is *bit-exact* —
 //    the key reason the paper's Build phase preserves accuracy at INT8.
+//    Under the packed backend (the default) both forward to the engine's
+//    integer-accumulate path (mpblas/kernels.hpp gemm_i8/syrk_i8): on
+//    AVX-512 VNNI hosts a `vpdpbusd` microkernel over +128-biased A
+//    panels with a per-column 128 * sum_l b_lj correction, otherwise an
+//    i16-panel kernel.  Integer accumulation is exact, so the result is
+//    the same integers either way; KGWAS_GEMM_KERNEL=reference runs the
+//    scalar loops here instead, the oracle the engine is tested against.
 //
 //  * `gemm_tc` / `syrk_tc` — cublasLtMatmul with FP16/BF16/FP8/FP4
 //    operands and FP32 compute type: operands are rounded to the storage
@@ -24,9 +31,12 @@ namespace kgwas {
 
 /// C(int32, n x n) <- alpha * A * A^T + beta * C with A int8 n x k
 /// (trans = NoTrans) or alpha * A^T * A with A int8 k x n (trans = Trans).
-/// Only the `uplo` triangle of C is referenced.  Accumulation is exact in
-/// INT32; the caller is responsible for k being small enough to avoid
-/// overflow (k * 127^2 < 2^31; SNP data gives k * 4 < 2^31).
+/// Only the `uplo` triangle of C is referenced (the engine computes only
+/// that triangle's micro tiles).  Accumulation is exact in INT32; the
+/// caller is responsible for k being small enough to avoid overflow
+/// (k * 127^2 < 2^31; SNP data gives k * 4 < 2^31).  The VNNI kernel's
+/// bias correction stays exact under the same bound: it works modulo
+/// 2^32, so a wrapped biased sum still yields the in-range result.
 void syrk_i8_i32(Uplo uplo, Trans trans, std::size_t n, std::size_t k,
                  std::int32_t alpha, const std::int8_t* a, std::size_t lda,
                  std::int32_t beta, std::int32_t* c, std::size_t ldc);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <span>
 
@@ -10,6 +11,7 @@
 #include "krr/build.hpp"
 #include "krr/kernels.hpp"
 #include "mpblas/blas.hpp"
+#include "mpblas/kernels.hpp"
 #include "runtime/runtime.hpp"
 
 namespace kgwas {
@@ -167,6 +169,56 @@ TEST(Build, CrossKernelMatchesScalar) {
                   1e-6);
     }
   }
+}
+
+TEST_P(BuildKernelParam, BitwiseEqualUnderReferenceAndPackedBackends) {
+  // The INT8 distance GEMM is exact under either GEMM backend, and the
+  // diagonal tiles' SYRK + mirror reproduces the full GEMM, so every
+  // kernel entry is the same float under both.  Without confounders: the
+  // FP32 confounder GEMM rounds differently per backend.
+  namespace kernels = mpblas::kernels;
+  const KernelType kernel = GetParam();
+  CohortConfig cc;
+  cc.n_patients = 110;
+  cc.n_snps = 203;
+  cc.seed = 41;
+  const Cohort cohort = simulate_cohort(cc);
+  std::vector<std::size_t> train_rows(83), test_rows(27);
+  std::iota(train_rows.begin(), train_rows.end(), 0);
+  std::iota(test_rows.begin(), test_rows.end(), 83);
+  const GenotypeMatrix train = cohort.genotypes.subset_rows(train_rows);
+  const GenotypeMatrix test = cohort.genotypes.subset_rows(test_rows);
+
+  BuildConfig config;
+  config.kernel = kernel;
+  config.gamma = 0.02;
+  config.tile_size = 40;  // edge tiles on both sides (83 = 2*40 + 3)
+  Runtime rt(2);
+  const auto build = [&] {
+    return std::pair{
+        build_kernel_matrix(rt, train, Matrix<float>(83, 0), config)
+            .to_dense(),
+        build_cross_kernel(rt, test, Matrix<float>(27, 0), train,
+                           Matrix<float>(83, 0), config)
+            .to_dense()};
+  };
+  kernels::set_gemm_backend(kernels::GemmBackend::kReference);
+  const auto [k_ref, kx_ref] = build();
+  for (const kernels::Arch arch : kernels::available_archs()) {
+    kernels::set_gemm_backend(kernels::GemmBackend::kPacked);
+    kernels::set_gemm_arch(arch);
+    const auto [k, kx] = build();
+    EXPECT_EQ(std::memcmp(k.data(), k_ref.data(), k.size() * sizeof(float)),
+              0)
+        << to_string(kernel) << " train kernel, variant "
+        << kernels::to_string(arch);
+    EXPECT_EQ(
+        std::memcmp(kx.data(), kx_ref.data(), kx.size() * sizeof(float)), 0)
+        << to_string(kernel) << " cross kernel, variant "
+        << kernels::to_string(arch);
+  }
+  kernels::set_gemm_backend(std::nullopt);
+  kernels::set_gemm_arch(std::nullopt);
 }
 
 TEST(Build, IbsSelfSimilarityIsOne) {
