@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <limits>
+#include <ostream>
 #include <vector>
 
 #include "common/status.hpp"
@@ -12,6 +13,15 @@
 #include "precision/precision.hpp"
 
 namespace kgwas {
+
+// Prints a format parameter by name rather than by address, so the
+// parameterized test names stay the same from one build or run to the next.
+// Declared in kgwas (not the unnamed namespace) so that GoogleTest finds it
+// through argument-dependent lookup.
+static void PrintTo(const FloatFormat* format, std::ostream* os) {
+  *os << format->name;
+}
+
 namespace {
 
 TEST(FloatFormat, KnownMaxFiniteValues) {
