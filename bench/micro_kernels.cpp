@@ -615,6 +615,55 @@ BENCHMARK(BM_QuantizeRoundTrip)
     ->Arg(static_cast<long>(Precision::kFp16))
     ->Arg(static_cast<long>(Precision::kFp8E4M3));
 
+// Single-thread codec throughput on one 256 x 256 tile, per engine
+// variant (which selects the codec: the AVX-512 codec under avx512 on
+// hosts with avx512f+avx512bw, the scalar loops otherwise) and per
+// format; items are elements, so items_per_second reads as elem/s.  The
+// label names the codec that ran.
+void run_codec_row(benchmark::State& state, mpblas::kernels::Arch arch,
+                   Precision precision, bool encode) {
+  namespace kernels = mpblas::kernels;
+  kernels::set_gemm_arch(arch);
+  const std::size_t n = 256 * 256;
+  const Matrix<float> tile = random_matrix(256, 256, 9);
+  std::vector<std::uint8_t> storage(n * bytes_per_element(precision));
+  std::vector<float> back(n);
+  quantize_buffer(precision, tile.data(), storage.data(), n);
+  for (auto _ : state) {
+    if (encode) {
+      quantize_buffer(precision, tile.data(), storage.data(), n);
+      benchmark::DoNotOptimize(storage.data());
+    } else {
+      dequantize_buffer(precision, storage.data(), back.data(), n);
+      benchmark::DoNotOptimize(back.data());
+    }
+  }
+  state.SetLabel(codec_name());
+  kernels::set_gemm_arch(std::nullopt);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+
+int register_codec_rows() {
+  namespace kernels = mpblas::kernels;
+  for (const bool encode : {true, false}) {
+    for (const kernels::Arch arch : kernels::available_archs()) {
+      for (const Precision p : {Precision::kFp16, Precision::kBf16,
+                                Precision::kFp8E4M3, Precision::kFp8E5M2}) {
+        const std::string name = std::string(encode ? "BM_CodecEncode_"
+                                                    : "BM_CodecDecode_") +
+                                 to_string(arch) + "/" + to_string(p);
+        benchmark::RegisterBenchmark(
+            name.c_str(), [arch, p, encode](benchmark::State& state) {
+              run_codec_row(state, arch, p, encode);
+            });
+      }
+    }
+  }
+  return 0;
+}
+const int g_codec_rows_registered = register_codec_rows();
+
 }  // namespace
 }  // namespace kgwas
 

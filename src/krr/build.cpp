@@ -7,6 +7,7 @@
 #include "mpblas/batch.hpp"
 #include "mpblas/blas.hpp"
 #include "mpblas/mixed.hpp"
+#include "tile/tile_pool.hpp"
 
 namespace kgwas {
 
@@ -120,74 +121,79 @@ void KernelTileGenerator::compute(std::size_t r0, std::size_t c0,
   // INT8 tensor-core GEMM: G_r * G_c^T, exact INT32 accumulation.  A
   // diagonal tile of the symmetric train kernel is itself symmetric: its
   // SYRK computes only the lower micro tiles and the mirror fills the
-  // upper triangle with the same (exact) integers.
-  Matrix<std::int32_t> dot(mb, nb);
+  // upper triangle with the same (exact) integers.  Every scratch buffer
+  // (column-major, ld = mb) comes from the tile pool: a Build allocates
+  // nothing per tile once the pool holds one set per worker.
+  TilePool& pool = TilePool::global();
+  PooledArray<std::int32_t> dot_buf(pool, mb * nb);
+  std::int32_t* dot = dot_buf.data();
   if (in.genotypes_rows == in.genotypes_cols && r0 == c0) {
     syrk_i8_i32(Uplo::kLower, Trans::kNoTrans, mb, ns, 1,
-                &in.genotypes_rows->matrix()(r0, 0), ldr, 0, dot.data(),
-                dot.ld());
+                &in.genotypes_rows->matrix()(r0, 0), ldr, 0, dot, mb);
     for (std::size_t j = 1; j < nb; ++j) {
-      for (std::size_t i = 0; i < j; ++i) dot(i, j) = dot(j, i);
+      for (std::size_t i = 0; i < j; ++i) dot[i + j * mb] = dot[j + i * mb];
     }
   } else {
     gemm_i8_i32(Trans::kNoTrans, Trans::kTrans, mb, nb, ns, 1,
                 &in.genotypes_rows->matrix()(r0, 0), ldr,
-                &in.genotypes_cols->matrix()(c0, 0), ldc, 0, dot.data(),
-                dot.ld());
+                &in.genotypes_cols->matrix()(c0, 0), ldc, 0, dot, mb);
   }
 
-  Matrix<float> k(mb, nb);
+  PooledF32 k_buf(pool, mb * nb);
+  float* k = k_buf.data();
 
   if (!in.ibs) {
     // Fused: d = n_i + n_j - 2 dot (+ confounder distances), k = exp(-g d).
-    Matrix<float> conf_dist(mb, nb);
     const std::size_t nc = in.conf_rows->cols();
+    PooledF32 conf_dist;
     if (nc > 0) {
       // -2 * C_r C_c^T accumulated in FP32, plus the folded norms.
+      conf_dist = PooledF32(pool, mb * nb);
       gemm(Trans::kNoTrans, Trans::kTrans, mb, nb, nc, -2.0f,
            &(*in.conf_rows)(r0, 0), in.conf_rows->ld(), &(*in.conf_cols)(c0, 0),
-           in.conf_cols->ld(), 0.0f, conf_dist.data(), conf_dist.ld());
+           in.conf_cols->ld(), 0.0f, conf_dist.data(), mb);
     }
     for (std::size_t j = 0; j < nb; ++j) {
       for (std::size_t i = 0; i < mb; ++i) {
         double d = static_cast<double>(in.snp_norms_rows[r0 + i]) +
                    static_cast<double>((*in.snp_norms_cols)[c0 + j]) -
-                   2.0 * static_cast<double>(dot(i, j));
+                   2.0 * static_cast<double>(dot[i + j * mb]);
         if (nc > 0) {
           d += static_cast<double>(in.conf_norms_rows[r0 + i]) +
                static_cast<double>((*in.conf_norms_cols)[c0 + j]) +
-               static_cast<double>(conf_dist(i, j));
+               static_cast<double>(conf_dist.data()[i + j * mb]);
         }
         // Quantized inputs guarantee d >= 0 up to FP32 rounding of the
         // confounder part; clamp to keep the kernel in (0, 1].
         if (d < 0.0) d = 0.0;
-        k(i, j) = static_cast<float>(std::exp(-config_.gamma * d));
+        k[i + j * mb] = static_cast<float>(std::exp(-config_.gamma * d));
       }
     }
   } else {
     // IBS: shared = 2*NS - sum|gi-gj|; sum|gi-gj| = d - 2 * count2 where
     // count2 = u_r . v_c + v_r . u_c.
-    Matrix<std::int32_t> count2(mb, nb);
+    PooledArray<std::int32_t> count2_buf(pool, mb * nb);
+    std::int32_t* count2 = count2_buf.data();
     gemm_i8_i32(Trans::kNoTrans, Trans::kTrans, mb, nb, ns, 1,
                 &in.ind_rows.zero(r0, 0), ldr, &in.ind_cols->two(c0, 0), ldc,
-                0, count2.data(), count2.ld());
+                0, count2, mb);
     gemm_i8_i32(Trans::kNoTrans, Trans::kTrans, mb, nb, ns, 1,
                 &in.ind_rows.two(r0, 0), ldr, &in.ind_cols->zero(c0, 0), ldc,
-                1, count2.data(), count2.ld());
+                1, count2, mb);
     const double denom = 2.0 * static_cast<double>(ns);
     for (std::size_t j = 0; j < nb; ++j) {
       for (std::size_t i = 0; i < mb; ++i) {
         const std::int64_t d = static_cast<std::int64_t>(
                                    in.snp_norms_rows[r0 + i]) +
                                (*in.snp_norms_cols)[c0 + j] -
-                               2 * static_cast<std::int64_t>(dot(i, j));
-        const std::int64_t abs_sum = d - 2 * count2(i, j);
-        k(i, j) = static_cast<float>(
+                               2 * static_cast<std::int64_t>(dot[i + j * mb]);
+        const std::int64_t abs_sum = d - 2 * count2[i + j * mb];
+        k[i + j * mb] = static_cast<float>(
             (denom - static_cast<double>(abs_sum)) / denom);
       }
     }
   }
-  out.from_fp32(k);
+  out.encode_from(k, mb);
 }
 
 SymmetricTileMatrix build_kernel_matrix(Runtime& runtime,

@@ -7,7 +7,11 @@
 #include <vector>
 
 #include "common/status.hpp"
+#include "mpblas/cpu_features.hpp"
+#include "mpblas/kernels.hpp"
+#include "precision/convert_avx512.hpp"
 #include "precision/float_format.hpp"
+#include "tile/tile_pool.hpp"
 
 namespace kgwas {
 
@@ -77,10 +81,31 @@ void dequantize_small_float(const FloatFormat& fmt, const void* src, float* dst,
   }
 }
 
+/// The vector codec the selected engine variant runs, nullptr for the
+/// scalar loops: the AVX-512 codec under the avx512 variant on hosts with
+/// avx512f and avx512bw.
+const detail::VectorCodec* vector_codec() {
+  if (mpblas::kernels::selected_arch() != mpblas::kernels::Arch::kAvx512) {
+    return nullptr;
+  }
+  const mpblas::CpuFeatures& f = mpblas::cpu_features();
+  return f.avx512f && f.avx512bw ? detail::avx512_codec() : nullptr;
+}
+
 }  // namespace
+
+const char* codec_name() {
+  const detail::VectorCodec* codec = vector_codec();
+  return codec != nullptr ? codec->name : "scalar";
+}
 
 void quantize_buffer(Precision precision, const float* src, void* dst,
                      std::size_t n) {
+  if (n == 0) return;
+  if (const detail::VectorCodec* codec = vector_codec();
+      codec != nullptr && codec->encode(precision, src, dst, n)) {
+    return;
+  }
   switch (precision) {
     case Precision::kFp64: {
       auto* out = static_cast<double*>(dst);
@@ -106,6 +131,11 @@ void quantize_buffer(Precision precision, const float* src, void* dst,
 
 void dequantize_buffer(Precision precision, const void* src, float* dst,
                        std::size_t n) {
+  if (n == 0) return;
+  if (const detail::VectorCodec* codec = vector_codec();
+      codec != nullptr && codec->decode(precision, src, dst, n)) {
+    return;
+  }
   switch (precision) {
     case Precision::kFp64: {
       const auto* in = static_cast<const double*>(src);
@@ -127,6 +157,11 @@ void dequantize_buffer(Precision precision, const void* src, float* dst,
 }
 
 void quantize_inplace(Precision precision, float* data, std::size_t n) {
+  if (n == 0) return;
+  if (const detail::VectorCodec* codec = vector_codec();
+      codec != nullptr && codec->round_inplace(precision, data, n)) {
+    return;
+  }
   switch (precision) {
     case Precision::kFp64:
     case Precision::kFp32:
@@ -163,11 +198,21 @@ const float* decode_table(Precision precision) {
 
 void convert_buffer(Precision from, const void* src, Precision to, void* dst,
                     std::size_t n) {
+  if (n == 0) return;
   if (from == to) {
     std::memcpy(dst, src, n * bytes_per_element(from));
     return;
   }
-  std::vector<float> staging(n);
+  // An FP32 side is its own staging buffer.
+  if (from == Precision::kFp32) {
+    quantize_buffer(to, static_cast<const float*>(src), dst, n);
+    return;
+  }
+  if (to == Precision::kFp32) {
+    dequantize_buffer(from, src, static_cast<float*>(dst), n);
+    return;
+  }
+  PooledF32 staging(TilePool::global(), n);
   dequantize_buffer(from, src, staging.data(), n);
   quantize_buffer(to, staging.data(), dst, n);
 }

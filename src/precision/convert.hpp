@@ -3,6 +3,17 @@
 // task edges ("convert at the sender when the destination wants lower
 // precision") and that the tile container uses to materialize a tile in a
 // given storage format.
+//
+// Two implementations sit behind one contract.  The scalar loops over
+// quantize_bits / decode tables (float_format.hpp) are the oracle and the
+// portable path.  Under the packed engine's avx512 variant
+// (KGWAS_GEMM_ARCH / mpblas::kernels::set_gemm_arch) on a host with
+// avx512f and avx512bw, fp16, bf16 and fp8 E4M3/E5M2 run vector codecs
+// (convert_avx512.cpp) that produce the oracle's bits exactly; fp4, int8
+// and fp64 always run the scalar loops.  NaN is canonical either way:
+// every NaN input encodes to sign 0 with all-ones exponent and mantissa
+// (0x7FFF for fp16/bf16, 0x7F for fp8), and every NaN code decodes to the
+// quiet NaN 0x7FC00000.  Every entry accepts n == 0 with null pointers.
 #pragma once
 
 #include <cstddef>
@@ -24,7 +35,8 @@ void dequantize_buffer(Precision precision, const void* src, float* dst, std::si
 /// rounding a tensor core performs before multiplying).
 void quantize_inplace(Precision precision, float* data, std::size_t n);
 
-/// Converts a buffer stored in `from` into storage `to` via FP32.
+/// Converts a buffer stored in `from` into storage `to` via FP32 (no
+/// staging copy when either side is FP32).
 void convert_buffer(Precision from, const void* src, Precision to, void* dst,
                     std::size_t n);
 
@@ -34,5 +46,9 @@ void convert_buffer(Precision from, const void* src, Precision to, void* dst,
 /// a plain cast.  Lets bulk consumers (the packed GEMM engine's
 /// decode-on-pack) read storage bytes directly without a staging decode.
 const float* decode_table(Precision precision);
+
+/// "avx512" when the calls above run the vector codecs, else "scalar".
+/// Follows the engine variant, so it can change with set_gemm_arch.
+const char* codec_name();
 
 }  // namespace kgwas

@@ -70,6 +70,8 @@ struct Runtime::HandleState {
   // submitted since that write.
   TaskNode* last_writer = nullptr;
   std::vector<TaskNode*> readers_since_write;
+  // Listed in touched_handles_ since the last drain.
+  bool touched = false;
 };
 
 Runtime::Runtime(std::size_t workers, bool enable_profiling,
@@ -203,6 +205,10 @@ std::uint64_t Runtime::submit_impl(TaskDesc desc, std::function<void()> fn,
     pending_tasks_.fetch_add(1);
     for (const Dep& dep : desc.deps) {
       HandleState& hs = *handles_.at(dep.handle.id);
+      if (!hs.touched) {
+        hs.touched = true;
+        touched_handles_.push_back(&hs);
+      }
       const bool reads = dep.access != Access::kWrite;
       const bool writes = dep.access != Access::kRead;
       // A task may declare the same handle several times (e.g. ReadWrite
@@ -433,15 +439,20 @@ void Runtime::wait() {
     all_done_.wait(lock, [this] { return pending_tasks_.load() == 0; });
   }
   // The graph has drained: retire every node and reset handle tracking so
-  // the next algorithm starts from a clean slate.
+  // the next algorithm starts from a clean slate.  Only the handles used
+  // since the last drain carry tracking state, so only those are walked:
+  // handles are never unregistered, and walking all of them would make
+  // every wait() slower the longer a Runtime lives.
   {
     std::lock_guard<std::mutex> lock(graph_mutex_);
     if (pending_tasks_.load() == 0) {
       live_tasks_.clear();
-      for (auto& [id, state] : handles_) {
+      for (HandleState* state : touched_handles_) {
         state->last_writer = nullptr;
         state->readers_since_write.clear();
+        state->touched = false;
       }
+      touched_handles_.clear();
     }
   }
   // Steal/priority counters are part of every drain, independent of span

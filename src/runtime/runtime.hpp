@@ -265,6 +265,8 @@ class Runtime {
 
   std::mutex graph_mutex_;
   std::unordered_map<std::uint64_t, std::unique_ptr<HandleState>> handles_;
+  /// Handles a task has used since the last drain (wait() resets them).
+  std::vector<HandleState*> touched_handles_;
   std::unordered_map<std::uint64_t, std::unique_ptr<TaskNode>> live_tasks_;
   std::atomic<std::uint64_t> next_handle_id_{1};
   std::atomic<std::uint64_t> next_task_id_{0};

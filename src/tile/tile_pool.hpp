@@ -130,4 +130,25 @@ class PooledF32 {
   AlignedVector<float> buffer_;
 };
 
+/// RAII scratch array of `count` trivially copyable T drawn from a
+/// TilePool's byte buffers — pooled scratch for element types other than
+/// FP32 (the Build's INT32 dot products).  Contents start unspecified.
+template <typename T>
+class PooledArray {
+ public:
+  PooledArray(TilePool& pool, std::size_t count)
+      : pool_(&pool), buffer_(pool.acquire(count * sizeof(T))) {}
+  ~PooledArray() {
+    if (!buffer_.empty()) pool_->release(std::move(buffer_));
+  }
+  PooledArray(const PooledArray&) = delete;
+  PooledArray& operator=(const PooledArray&) = delete;
+
+  T* data() noexcept { return reinterpret_cast<T*>(buffer_.data()); }
+
+ private:
+  TilePool* pool_;
+  AlignedVector<std::byte> buffer_;
+};
+
 }  // namespace kgwas
